@@ -1,6 +1,7 @@
 #include "src/atg/publisher.h"
 
 #include <deque>
+#include <unordered_map>
 
 namespace xvu {
 
@@ -26,6 +27,36 @@ bool IsAcyclicDag(const DagView& dag) {
     }
   }
   return seen == live.size();
+}
+
+/// Kahn cycle check restricted to the nodes a subtree publication
+/// created. Generate only ever expands freshly created nodes, so every
+/// edge PublishSubtree adds leaves a new node; until the caller connects
+/// the subtree, no pre-existing node has an edge into a new one. Hence
+/// (a) every parent of a new node is new, and (b) a cycle through a
+/// pre-existing node would need a path from it back into the new nodes,
+/// which does not exist — with the pre-publication DAG acyclic, any
+/// cycle lies entirely among `new_nodes`. Edges from new nodes into
+/// pre-existing ones cannot close a cycle and are skipped.
+bool NewNodesAcyclic(const DagView& dag, const std::vector<NodeId>& new_nodes) {
+  std::unordered_map<NodeId, size_t> indeg;
+  indeg.reserve(new_nodes.size());
+  for (NodeId v : new_nodes) indeg.emplace(v, dag.parents(v).size());
+  std::deque<NodeId> q;
+  for (NodeId v : new_nodes) {
+    if (indeg[v] == 0) q.push_back(v);
+  }
+  size_t seen = 0;
+  while (!q.empty()) {
+    NodeId u = q.front();
+    q.pop_front();
+    ++seen;
+    for (NodeId c : dag.children(u)) {
+      auto it = indeg.find(c);
+      if (it != indeg.end() && --it->second == 0) q.push_back(c);
+    }
+  }
+  return seen == new_nodes.size();
 }
 
 }  // namespace
@@ -228,7 +259,7 @@ Result<Publisher::SubtreeResult> Publisher::PublishSubtree(
   if (created) {
     XVU_RETURN_NOT_OK(Generate(&ctx, root));
     XVU_RETURN_NOT_OK(Drain(&ctx));
-    delta.cyclic = !IsAcyclicDag(*dag);
+    delta.cyclic = !NewNodesAcyclic(*dag, delta.new_nodes);
   }
   return delta;
 }

@@ -7,7 +7,6 @@
 #include "src/dag/dag_view.h"
 #include "src/dag/journal.h"
 #include "src/dag/reachability.h"
-#include "src/dag/topo_order.h"
 
 namespace xvu {
 
@@ -46,12 +45,10 @@ namespace xvu {
 /// the window is too large for the patch to be worth it — and the caller
 /// must fall back to a fresh evaluation.
 ///
-/// Preconditions: `topo`/`reach` are the maintained L and M of the
-/// *current* DAG (the engine maintains them before the next batch's
-/// lookups run), and `journal` is exactly JournalSince(the entry's
+/// Preconditions: `reach` is the maintained M of the *current* DAG (the
+/// engine maintains it before the next batch's lookups run), and `journal` is exactly JournalSince(the entry's
 /// version).
-bool TryPatchEval(const DagView& dag, const TopoOrder& topo,
-                  const Reachability& reach,
+bool TryPatchEval(const DagView& dag, const Reachability& reach,
                   const std::vector<DagDelta>& journal, CachedEval* entry);
 
 /// True iff the path's filters are negation-free (recursively, including

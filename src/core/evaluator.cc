@@ -1,110 +1,82 @@
 #include "src/core/evaluator.h"
 
-#include <unordered_set>
-
 namespace xvu {
 
-std::vector<uint8_t> XPathEvaluator::EvalFilter(const FilterExpr& q) const {
-  size_t cap = dag_->capacity();
-  std::vector<uint8_t> val(cap, 0);
+bool NodeFilterEval::Eval(const FilterExpr& q, NodeId v) {
   switch (q.kind()) {
-    case FilterExpr::Kind::kLabelEq: {
-      for (NodeId v : order_->order()) {
-        val[v] = dag_->node(v).type == q.label() ? 1 : 0;
-      }
-      return val;
-    }
-    case FilterExpr::Kind::kAnd: {
-      std::vector<uint8_t> a = EvalFilter(*q.lhs());
-      std::vector<uint8_t> b = EvalFilter(*q.rhs());
-      for (size_t i = 0; i < cap; ++i) val[i] = a[i] && b[i];
-      return val;
-    }
-    case FilterExpr::Kind::kOr: {
-      std::vector<uint8_t> a = EvalFilter(*q.lhs());
-      std::vector<uint8_t> b = EvalFilter(*q.rhs());
-      for (size_t i = 0; i < cap; ++i) val[i] = a[i] || b[i];
-      return val;
-    }
-    case FilterExpr::Kind::kNot: {
-      std::vector<uint8_t> a = EvalFilter(*q.lhs());
-      for (NodeId v : order_->order()) val[v] = !a[v];
-      return val;
-    }
+    case FilterExpr::Kind::kLabelEq:
+      return dag_.node(v).type == q.label();
+    case FilterExpr::Kind::kAnd:
+      return Eval(*q.lhs(), v) && Eval(*q.rhs(), v);
+    case FilterExpr::Kind::kOr:
+      return Eval(*q.lhs(), v) || Eval(*q.rhs(), v);
+    case FilterExpr::Kind::kNot:
+      return !Eval(*q.lhs(), v);
     case FilterExpr::Kind::kPath:
-      return EvalPathExists(Normalize(q.path()), nullptr);
     case FilterExpr::Kind::kPathEq: {
-      const std::string& s = q.value();
-      return EvalPathExists(Normalize(q.path()), &s);
+      PerFilter& pf = Cached(q);
+      const std::string* text =
+          q.kind() == FilterExpr::Kind::kPathEq ? &q.value() : nullptr;
+      return Match(&pf, 0, v, text);
     }
   }
-  return val;
+  return false;
 }
 
-std::vector<uint8_t> XPathEvaluator::EvalPathExists(
-    const NormalPath& np, const std::string* text_eq) const {
-  size_t cap = dag_->capacity();
-  size_t n = np.steps.size();
-  // exist[i][v]: the suffix starting at step i matches from v.
-  // Computed for i = n down to 0; the base case encodes the optional
-  // string-value comparison.
-  std::vector<uint8_t> next(cap, 0);
-  for (NodeId v : order_->order()) {
-    next[v] = text_eq == nullptr || dag_->TextOf(v) == *text_eq ? 1 : 0;
+NodeFilterEval::PerFilter& NodeFilterEval::Cached(const FilterExpr& q) {
+  auto it = filters_.find(&q);
+  if (it == filters_.end()) {
+    it = filters_.emplace(&q, PerFilter{Normalize(q.path()), {}}).first;
   }
-  for (size_t i = n; i > 0; --i) {
-    const NormalStep& s = np.steps[i - 1];
-    std::vector<uint8_t> cur(cap, 0);
-    switch (s.kind) {
-      case NormalStep::Kind::kFilter: {
-        std::vector<uint8_t> fv = EvalFilter(*s.filter);
-        for (NodeId v : order_->order()) cur[v] = fv[v] && next[v];
-        break;
-      }
-      case NormalStep::Kind::kLabel: {
-        for (NodeId v : order_->order()) {
-          for (NodeId c : dag_->children(v)) {
-            if (next[c] && dag_->node(c).type == s.label) {
-              cur[v] = 1;
-              break;
-            }
-          }
-        }
-        break;
-      }
-      case NormalStep::Kind::kWildcard: {
-        for (NodeId v : order_->order()) {
-          for (NodeId c : dag_->children(v)) {
-            if (next[c]) {
-              cur[v] = 1;
-              break;
-            }
-          }
-        }
-        break;
-      }
-      case NormalStep::Kind::kDescOrSelf: {
-        // desc(q, v) = next(v) ∨ ∃ child c: desc(q, c) — the dynamic
-        // program of Section 3.2, evaluated in topological order so every
-        // child is final before its parents are visited.
-        for (NodeId v : order_->order()) {
-          if (next[v]) {
-            cur[v] = 1;
-            continue;
-          }
-          for (NodeId c : dag_->children(v)) {
-            if (cur[c]) {
-              cur[v] = 1;
-              break;
-            }
-          }
-        }
-        break;
-      }
-    }
-    next = std::move(cur);
+  return it->second;
+}
+
+bool NodeFilterEval::Match(PerFilter* pf, size_t i, NodeId v,
+                           const std::string* text_eq) {
+  if (i == pf->np.steps.size()) {
+    return text_eq == nullptr || dag_.TextOf(v) == *text_eq;
   }
-  return next;
+  uint64_t key = static_cast<uint64_t>(i) * dag_.capacity() + v;
+  auto mit = pf->memo.find(key);
+  if (mit != pf->memo.end()) return mit->second;
+  const NormalStep& s = pf->np.steps[i];
+  bool r = false;
+  switch (s.kind) {
+    case NormalStep::Kind::kFilter:
+      r = Eval(*s.filter, v) && Match(pf, i + 1, v, text_eq);
+      break;
+    case NormalStep::Kind::kLabel:
+      for (NodeId c : dag_.children(v)) {
+        if (dag_.node(c).type == s.label && Match(pf, i + 1, c, text_eq)) {
+          r = true;
+          break;
+        }
+      }
+      break;
+    case NormalStep::Kind::kWildcard:
+      for (NodeId c : dag_.children(v)) {
+        if (Match(pf, i + 1, c, text_eq)) {
+          r = true;
+          break;
+        }
+      }
+      break;
+    case NormalStep::Kind::kDescOrSelf:
+      // desc(q, v): a match at v or at some proper descendant (from M).
+      if (Match(pf, i + 1, v, text_eq)) {
+        r = true;
+      } else {
+        for (NodeId d : reach_.Descendants(v)) {
+          if (Match(pf, i + 1, d, text_eq)) {
+            r = true;
+            break;
+          }
+        }
+      }
+      break;
+  }
+  pf->memo.emplace(key, r);
+  return r;
 }
 
 std::vector<DenseNodeSet> XPathEvaluator::ForwardPass(
@@ -117,6 +89,7 @@ std::vector<DenseNodeSet> XPathEvaluator::ForwardPass(
   // a dead frontier when new structure arrives.
   std::vector<DenseNodeSet> reached;
   reached.reserve(n + 1);
+  NodeFilterEval filter_eval(*dag_, *reach_);
   reached.emplace_back(cap);
   if (dag_->root() != kInvalidNode) reached[0].Add(dag_->root());
   for (size_t i = 0; i < n; ++i) {
@@ -124,15 +97,13 @@ std::vector<DenseNodeSet> XPathEvaluator::ForwardPass(
     const DenseNodeSet& cur = reached[i];
     DenseNodeSet next(cap);
     switch (s.kind) {
-      case NormalStep::Kind::kFilter: {
-        if (!cur.items.empty()) {
-          std::vector<uint8_t> fv = EvalFilter(*s.filter);
-          for (NodeId v : cur.items) {
-            if (fv[v]) next.Add(v);
-          }
+      case NormalStep::Kind::kFilter:
+        // Only the frontier is ever asked: nodes off it cannot reach
+        // the selection, so their filter values are never computed.
+        for (NodeId v : cur.items) {
+          if (filter_eval.Eval(*s.filter, v)) next.Add(v);
         }
         break;
-      }
       case NormalStep::Kind::kLabel:
       case NormalStep::Kind::kWildcard:
         for (NodeId v : cur.items) {

@@ -2,13 +2,15 @@
 #define XVU_CORE_EVALUATOR_H_
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "src/common/status.h"
 #include "src/dag/dag_view.h"
 #include "src/dag/reachability.h"
-#include "src/dag/topo_order.h"
 #include "src/xpath/ast.h"
 #include "src/xpath/normal_form.h"
 
@@ -75,20 +77,56 @@ struct CachedEval {
   EvalResult result;
 };
 
-/// Two-pass XPath evaluator over a DAG stored as a DagView (Section 3.2):
-/// a bottom-up pass evaluates all filters by dynamic programming over the
-/// topological order L (computing val(q, v) and, for //-rooted path
-/// filters, desc(q, v)), then a top-down pass walks the normalized steps
-/// computing r[[p]], Ep(r) and the side-effect set S. Runs in O(|p|·|V|):
-/// every DAG edge is visited a constant number of times per step.
+/// Exact per-node filter evaluation against the current DAG: val(q, v)
+/// for the nodes a caller actually asks about, never a whole-view pass.
+/// A path filter's suffix matches are memoized per (filter, step, node),
+/// so shared subtrees are matched once per evaluator. Shared by the
+/// forward pass (filters on the frontier only) and the delta-patcher
+/// (filters on the nodes a journal window touched).
+///
+/// `reach` must be the maintained M of `dag`: // steps inside filters
+/// read it. Both must outlive the evaluator and stay unmodified while it
+/// is in use (the memo is keyed by node id and capacity).
+class NodeFilterEval {
+ public:
+  NodeFilterEval(const DagView& dag, const Reachability& reach)
+      : dag_(dag), reach_(reach) {}
+
+  /// val(q, v) for a live node v.
+  bool Eval(const FilterExpr& q, NodeId v);
+
+ private:
+  struct PerFilter {
+    NormalPath np;
+    /// (step, node) -> matched; keyed step * capacity + node.
+    std::unordered_map<uint64_t, bool> memo;
+  };
+
+  PerFilter& Cached(const FilterExpr& q);
+  /// exists-semantics of the suffix pf->np.steps[i..] from v, with the
+  /// optional string-value comparison at the end.
+  bool Match(PerFilter* pf, size_t i, NodeId v, const std::string* text_eq);
+
+  const DagView& dag_;
+  const Reachability& reach_;
+  std::unordered_map<const FilterExpr*, PerFilter> filters_;
+};
+
+/// Two-phase XPath evaluator over a DAG stored as a DagView (Section 3.2):
+/// a top-down forward pass walks the normalized steps from the root,
+/// evaluating each filter step only on the frontier it reaches
+/// (NodeFilterEval), then a backward pass prunes the trace to the
+/// derivations of the selected nodes and derives r[[p]], Ep(r) and the
+/// side-effect set S. Child steps cost the frontier's out-edges, //
+/// steps the frontier's rows of M, and filter steps the part of each
+/// frontier node's cone the filter's path explores — work proportional
+/// to what the path reaches rather than to |V|.
 class XPathEvaluator {
  public:
-  /// `order` is the maintained topological order L (descendants first —
-  /// it drives the bottom-up pass); `reach` the maintained matrix M
-  /// (it resolves // steps and the ancestor side-effect checks).
-  XPathEvaluator(const DagView* dag, const TopoOrder* order,
-                 const Reachability* reach)
-      : dag_(dag), order_(order), reach_(reach) {}
+  /// `reach` is the maintained matrix M: it resolves // steps (also
+  /// inside filters) and the ancestor side-effect checks.
+  XPathEvaluator(const DagView* dag, const Reachability* reach)
+      : dag_(dag), reach_(reach) {}
 
   Result<EvalResult> Evaluate(const Path& p) const;
 
@@ -102,24 +140,14 @@ class XPathEvaluator {
   EvalResult FinishFromTrace(const NormalPath& np,
                              const std::vector<DenseNodeSet>& reached) const;
 
-  /// Bottom-up evaluation of a single filter: val(q, v) for every live
-  /// node, indexed by NodeId. Exposed for tests.
-  std::vector<uint8_t> EvalFilter(const FilterExpr& q) const;
-
  private:
   /// The forward phase. With `full_trace` all n+1 sets are materialized
   /// (padded with empties once the frontier dies out) so the trace can be
   /// delta-patched later; without it the pass stops at a dead frontier.
   std::vector<DenseNodeSet> ForwardPass(const NormalPath& np,
                                         bool full_trace) const;
-  /// exists-semantics of a relative (normalized) path from each node.
-  /// When `text_eq` is non-null, the node reached must additionally have
-  /// that string value (the p = "s" comparison).
-  std::vector<uint8_t> EvalPathExists(const NormalPath& np,
-                                      const std::string* text_eq) const;
 
   const DagView* dag_;
-  const TopoOrder* order_;
   const Reachability* reach_;
 };
 

@@ -20,6 +20,18 @@ double Seconds(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
 }
 
+/// Records [from, to) as a child span of the running op.insert/op.delete.
+/// The boundaries are the UpdateStats phase timers', so op.eval is
+/// xpath_seconds, op.translate + op.apply is translate_seconds and
+/// op.maintain is maintain_seconds. A phase an op never finishes (it was
+/// rejected first) gets no span.
+void TracePhase(const char* name, Clock::time_point from,
+                Clock::time_point to) {
+  if (!obs::TracingEnabled()) return;
+  const uint64_t start = obs::TraceNs(from);
+  obs::TraceComplete(name, start, obs::TraceNs(to) - start);
+}
+
 }  // namespace
 
 Result<std::unique_ptr<UpdateSystem>> UpdateSystem::Create(Atg atg,
@@ -86,8 +98,7 @@ Snapshot UpdateSystem::AcquireSnapshot() {
     if (published_ != nullptr) {
       // Carry the previous epoch's eval memo forward through the ∆V
       // journal so hot paths stay warm across epochs.
-      state->cache.AdoptPatched(published_->cache, state->dag, state->topo,
-                                state->reach);
+      state->cache.AdoptPatched(published_->cache, state->dag, state->reach);
       XVU_OBS_COUNT("xvu.snapshot.carry_forwards", 1);
     }
     published_ = std::move(state);
@@ -104,7 +115,7 @@ Result<DagView> UpdateSystem::Republish() const {
 }
 
 Result<EvalResult> UpdateSystem::Query(const Path& p) const {
-  XPathEvaluator ev(&dag_, &engine_.topo(), &engine_.reach());
+  XPathEvaluator ev(&dag_, &engine_.reach());
   return ev.Evaluate(p);
 }
 
@@ -407,9 +418,10 @@ Status UpdateSystem::ApplyInsertImpl(const std::string& elem_type,
 
   // Phase 1: XPath evaluation + side-effect detection.
   auto t0 = Clock::now();
-  XPathEvaluator evaluator(&dag_, &engine_.topo(), &engine_.reach());
+  XPathEvaluator evaluator(&dag_, &engine_.reach());
   XVU_ASSIGN_OR_RETURN(EvalResult ev, evaluator.Evaluate(p));
   auto t1 = Clock::now();
+  TracePhase("op.eval", t0, t1);
   stats_.xpath_seconds = Seconds(t0, t1);
   stats_.selected = ev.selected.size();
   stats_.had_side_effects = ev.has_side_effects();
@@ -458,6 +470,8 @@ Status UpdateSystem::ApplyInsertImpl(const std::string& elem_type,
   stats_.sat_seconds = tr.sat_seconds;
   stats_.delta_r = tr.delta_r.ops.size();
   XVU_RETURN_NOT_OK(CheckDeadline(ctx->deadline, "insert: translated"));
+  const auto translated = Clock::now();
+  TracePhase("op.translate", t1, translated);
 
   // Phase 2b: apply ∆R, publish ST(A, t), connect.
   XVU_RETURN_NOT_OK(ApplyDeltaRTracked(tr.delta_r, &ctx->undo));
@@ -497,6 +511,7 @@ Status UpdateSystem::ApplyInsertImpl(const std::string& elem_type,
     ctx->added_rows.push_back(ViewRowOp{dv[i].view_name, std::move(row)});
   }
   auto t2 = Clock::now();
+  TracePhase("op.apply", translated, t2);
   stats_.translate_seconds = Seconds(t1, t2);
   XVU_RETURN_NOT_OK(CheckDeadline(ctx->deadline, "insert: applied"));
 
@@ -509,7 +524,9 @@ Status UpdateSystem::ApplyInsertImpl(const std::string& elem_type,
   XVU_FAIL_POINT(failpoints::kInsertMaintain);
   stats_.maintenance_passes = 1;
   stats_.maintenance_strategy = MaintenanceStrategy::kIncrementalMerge;
-  stats_.maintain_seconds = Seconds(t2, Clock::now());
+  const auto t3 = Clock::now();
+  TracePhase("op.maintain", t2, t3);
+  stats_.maintain_seconds = Seconds(t2, t3);
   return Status::OK();
 }
 
@@ -539,9 +556,10 @@ Status UpdateSystem::ApplyDeleteImpl(const Path& p, WriteUndo* ctx) {
   XVU_RETURN_NOT_OK(ValidateDelete(atg_.dtd(), p));
 
   auto t0 = Clock::now();
-  XPathEvaluator evaluator(&dag_, &engine_.topo(), &engine_.reach());
+  XPathEvaluator evaluator(&dag_, &engine_.reach());
   XVU_ASSIGN_OR_RETURN(EvalResult ev, evaluator.Evaluate(p));
   auto t1 = Clock::now();
+  TracePhase("op.eval", t0, t1);
   stats_.xpath_seconds = Seconds(t0, t1);
   stats_.selected = ev.selected.size();
   stats_.parent_edges = ev.parent_edges.size();
@@ -570,6 +588,8 @@ Status UpdateSystem::ApplyDeleteImpl(const Path& p, WriteUndo* ctx) {
   if (!dr.ok()) return dr.status();
   stats_.delta_r = dr->ops.size();
   XVU_RETURN_NOT_OK(CheckDeadline(ctx->deadline, "delete: translated"));
+  const auto translated = Clock::now();
+  TracePhase("op.translate", t1, translated);
 
   XVU_RETURN_NOT_OK(ApplyDeltaRTracked(*dr, &ctx->undo));
   XVU_FAIL_POINT(failpoints::kDeleteApplyDeltaR);
@@ -583,6 +603,7 @@ Status UpdateSystem::ApplyDeleteImpl(const Path& p, WriteUndo* ctx) {
     ctx->removed_rows.push_back(op);
   }
   auto t2 = Clock::now();
+  TracePhase("op.apply", translated, t2);
   stats_.translate_seconds = Seconds(t1, t2);
   XVU_RETURN_NOT_OK(CheckDeadline(ctx->deadline, "delete: applied"));
 
@@ -594,7 +615,9 @@ Status UpdateSystem::ApplyDeleteImpl(const Path& p, WriteUndo* ctx) {
   XVU_RETURN_NOT_OK(ReclaimCollected(delta, ctx));
   stats_.maintenance_passes = 1;
   stats_.maintenance_strategy = MaintenanceStrategy::kIncrementalMerge;
-  stats_.maintain_seconds = Seconds(t2, Clock::now());
+  const auto t3 = Clock::now();
+  TracePhase("op.maintain", t2, t3);
+  stats_.maintain_seconds = Seconds(t2, t3);
   return Status::OK();
 }
 

@@ -117,12 +117,14 @@ void SetTraceRingCapacity(size_t events) {
   g_ring_capacity.store(events > 0 ? events : 1, std::memory_order_relaxed);
 }
 
-uint64_t TraceNowNs() {
+uint64_t TraceNs(std::chrono::steady_clock::time_point t) {
+  if (t < TraceEpoch()) return 0;
   return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - TraceEpoch())
+      std::chrono::duration_cast<std::chrono::nanoseconds>(t - TraceEpoch())
           .count());
 }
+
+uint64_t TraceNowNs() { return TraceNs(std::chrono::steady_clock::now()); }
 
 const char* TraceInterned(const std::string& s) {
   static std::mutex* mu = new std::mutex();

@@ -2,6 +2,7 @@
 #define XVU_OBS_TRACE_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 
@@ -36,6 +37,11 @@ struct TraceEvent {
 
 /// Nanoseconds since the process-wide trace epoch (first use).
 uint64_t TraceNowNs();
+
+/// `t` as nanoseconds since the trace epoch, for spans whose boundaries
+/// were taken with steady_clock elsewhere (e.g. the UpdateStats phase
+/// timers). Times before the epoch clamp to 0.
+uint64_t TraceNs(std::chrono::steady_clock::time_point t);
 
 /// Interns a dynamic string (lane labels, fail-point site names) into
 /// process-lifetime storage, returning a pointer stable for the rest of

@@ -24,50 +24,80 @@ std::vector<SourceRef> DeletableSource(const EdgeViewInfo& info,
   return out;
 }
 
-namespace {
-
-struct SourceRefHash {
-  size_t operator()(const SourceRef& s) const {
-    return std::hash<std::string>()(s.table) * 1315423911u ^
-           TupleHash()(s.key);
-  }
-};
-
-}  // namespace
-
-Result<RelationalUpdate> TranslateGroupDeletion(
-    const ViewStore& store, const Database& base,
-    const std::vector<ViewRowOp>& deletions) {
-  // Index the ∆V rows per view for membership tests.
-  std::unordered_map<std::string, std::unordered_set<Tuple, TupleHash>>
-      dv_rows;
-  for (const ViewRowOp& op : deletions) {
-    if (store.GetEdgeView(op.view_name) == nullptr) {
-      return Status::NotFound("edge view " + op.view_name);
-    }
-    dv_rows[op.view_name].insert(op.row);
-  }
-
-  // `pinned` = base tuples in the deletable source of some view row that
-  // must remain (Fig.9 lines 4-5). One scan over all materialized views.
-  std::unordered_set<SourceRef, SourceRefHash> pinned;
+PinnedProbe::PinnedProbe(const ViewStore& store,
+                         const std::vector<ViewRowOp>& deletions) {
+  for (const ViewRowOp& op : deletions) deleted_[op.view_name].insert(op.row);
   for (const std::string& name : store.EdgeViewNames()) {
     const EdgeViewInfo* info = store.GetEdgeView(name);
     const Table* vt = store.db().GetTable(name);
     if (vt == nullptr) continue;
-    const auto* dv = dv_rows.count(name) > 0 ? &dv_rows[name] : nullptr;
-    vt->ForEach([&](const Tuple& row) {
-      if (dv != nullptr && dv->count(row) > 0) return;  // to be deleted
-      for (SourceRef& s : DeletableSource(*info, row)) {
-        pinned.insert(std::move(s));
+    auto dit = deleted_.find(name);
+    const auto* deleted = dit == deleted_.end() ? nullptr : &dit->second;
+    for (size_t i = 0; i < info->key_positions.size(); ++i) {
+      const std::vector<size_t>& kp = info->key_positions[i];
+      const std::string& table = info->rule.tables()[i].table;
+      if (kp.empty()) {
+        // A keyless table's only key is the empty tuple, carried by every
+        // row: any remaining row pins it.
+        vt->ForEach([&](const Tuple& row) {
+          if (deleted == nullptr || deleted->count(row) == 0) {
+            keyless_pinned_.insert(table);
+          }
+        });
+        continue;
       }
-    });
+      // Rule outputs start at offset 2 of the extended view row.
+      vt->EnsureColumnIndex(2 + kp[0]);
+      sites_[table].push_back(Site{vt, &kp, deleted});
+    }
+  }
+}
+
+bool PinnedProbe::Pinned(const SourceRef& s) const {
+  if (keyless_pinned_.count(s.table) > 0) return true;
+  auto it = sites_.find(s.table);
+  if (it == sites_.end()) return false;
+  for (const Site& site : it->second) {
+    const std::vector<size_t>& kp = *site.key_positions;
+    if (s.key.size() != kp.size()) continue;
+    const std::vector<size_t>* slots = site.view->EqSlots(2 + kp[0], s.key[0]);
+    if (slots == nullptr) continue;
+    for (size_t slot : *slots) {
+      const Tuple& row = site.view->RowAt(slot);
+      bool match = true;
+      for (size_t j = 1; j < kp.size() && match; ++j) {
+        match = row[2 + kp[j]] == s.key[j];
+      }
+      if (!match) continue;
+      if (site.deleted != nullptr && site.deleted->count(row) > 0) continue;
+      return true;  // a remaining view row depends on s
+    }
+  }
+  return false;
+}
+
+Result<RelationalUpdate> TranslateGroupDeletion(
+    const ViewStore& store, const Database& base,
+    const std::vector<ViewRowOp>& deletions) {
+  PinnedProbe probe(store, deletions);
+  return TranslateGroupDeletion(
+      store, base, deletions,
+      [&probe](const SourceRef& s) { return probe.Pinned(s); });
+}
+
+Result<RelationalUpdate> TranslateGroupDeletion(
+    const ViewStore& store, const Database& base,
+    const std::vector<ViewRowOp>& deletions, const PinnedFn& pinned) {
+  for (const ViewRowOp& op : deletions) {
+    if (store.GetEdgeView(op.view_name) == nullptr) {
+      return Status::NotFound("edge view " + op.view_name);
+    }
   }
 
   // Fig.9 lines 6-9: pick, for every ∆V row, a source tuple that no
   // remaining view row depends on.
   RelationalUpdate dr;
-  std::unordered_set<SourceRef, SourceRefHash> chosen;
+  std::set<SourceRef> chosen;
   for (const ViewRowOp& op : deletions) {
     const EdgeViewInfo* info = store.GetEdgeView(op.view_name);
     std::vector<SourceRef> sources = DeletableSource(*info, op.row);
@@ -83,7 +113,7 @@ Result<RelationalUpdate> TranslateGroupDeletion(
     if (covered) continue;
     const SourceRef* pick = nullptr;
     for (const SourceRef& s : sources) {
-      if (pinned.count(s) == 0) {
+      if (!pinned(s)) {
         pick = &s;
         break;
       }

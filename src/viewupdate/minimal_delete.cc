@@ -3,19 +3,10 @@
 #include <algorithm>
 #include <map>
 #include <queue>
-#include <unordered_map>
-#include <unordered_set>
 
 namespace xvu {
 
 namespace {
-
-struct SourceRefHash {
-  size_t operator()(const SourceRef& s) const {
-    return std::hash<std::string>()(s.table) * 1315423911u ^
-           TupleHash()(s.key);
-  }
-};
 
 /// Greedy set cover, lazy-evaluated: a max-heap of (cached gain,
 /// candidate) where a popped entry's gain is re-checked against the
@@ -136,30 +127,22 @@ Result<RelationalUpdate> TranslateMinimalDeletion(
     const ViewStore& store, const Database& base,
     const std::vector<ViewRowOp>& deletions,
     const MinimalDeleteOptions& options) {
+  PinnedProbe probe(store, deletions);
+  return TranslateMinimalDeletion(
+      store, base, deletions, options,
+      [&probe](const SourceRef& s) { return probe.Pinned(s); });
+}
+
+Result<RelationalUpdate> TranslateMinimalDeletion(
+    const ViewStore& store, const Database& base,
+    const std::vector<ViewRowOp>& deletions,
+    const MinimalDeleteOptions& options, const PinnedFn& pinned) {
   XVU_RETURN_NOT_OK(
       CheckDeadline(options.deadline, "minimal-deletion translation"));
-  // Reuse the feasibility machinery of Algorithm delete: compute the
-  // pinned set, then set up the cover instance over unpinned sources.
-  std::unordered_map<std::string, std::unordered_set<Tuple, TupleHash>>
-      dv_rows;
   for (const ViewRowOp& op : deletions) {
     if (store.GetEdgeView(op.view_name) == nullptr) {
       return Status::NotFound("edge view " + op.view_name);
     }
-    dv_rows[op.view_name].insert(op.row);
-  }
-  std::unordered_set<SourceRef, SourceRefHash> pinned;
-  for (const std::string& name : store.EdgeViewNames()) {
-    const EdgeViewInfo* info = store.GetEdgeView(name);
-    const Table* vt = store.db().GetTable(name);
-    if (vt == nullptr) continue;
-    const auto* dv = dv_rows.count(name) > 0 ? &dv_rows[name] : nullptr;
-    vt->ForEach([&](const Tuple& row) {
-      if (dv != nullptr && dv->count(row) > 0) return;
-      for (SourceRef& s : DeletableSource(*info, row)) {
-        pinned.insert(std::move(s));
-      }
-    });
   }
 
   // Build the cover instance: elements = ∆V rows; candidates = distinct
@@ -174,7 +157,7 @@ Result<RelationalUpdate> TranslateMinimalDeletion(
     const EdgeViewInfo* info = store.GetEdgeView(op.view_name);
     bool any = false;
     for (SourceRef& s : DeletableSource(*info, op.row)) {
-      if (pinned.count(s) > 0) continue;
+      if (pinned(s)) continue;
       any = true;
       auto [it, fresh] = candidate_index.emplace(s, candidates.size());
       if (fresh) {

@@ -42,6 +42,13 @@ Result<RelationalUpdate> TranslateMinimalDeletion(
     const std::vector<ViewRowOp>& deletions,
     const MinimalDeleteOptions& options = {});
 
+/// TranslateMinimalDeletion with the pinned test supplied by the caller
+/// (tests substitute a whole-view oracle for PinnedProbe).
+Result<RelationalUpdate> TranslateMinimalDeletion(
+    const ViewStore& store, const Database& base,
+    const std::vector<ViewRowOp>& deletions,
+    const MinimalDeleteOptions& options, const PinnedFn& pinned);
+
 }  // namespace xvu
 
 #endif  // XVU_VIEWUPDATE_MINIMAL_DELETE_H_

@@ -53,7 +53,7 @@ TEST(Complexity, TwoPassEvalLinearInDagSize) {
     auto topo = TopoOrder::Compute(dag);
     ASSERT_TRUE(topo.ok());
     Reachability m = Reachability::Compute(dag, *topo);
-    XPathEvaluator ev(&dag, &*topo, &m);
+    XPathEvaluator ev(&dag, &m);
     t_small = TimeSeconds([&] { (void)ev.Evaluate(p); });
   }
   {
@@ -61,7 +61,7 @@ TEST(Complexity, TwoPassEvalLinearInDagSize) {
     auto topo = TopoOrder::Compute(dag);
     ASSERT_TRUE(topo.ok());
     Reachability m = Reachability::Compute(dag, *topo);
-    XPathEvaluator ev(&dag, &*topo, &m);
+    XPathEvaluator ev(&dag, &m);
     t_big = TimeSeconds([&] { (void)ev.Evaluate(p); });
   }
   // 4x nodes: the // closure makes the result sets bigger, allow 32x.
@@ -73,7 +73,7 @@ TEST(Complexity, EvalCostGrowsWithQuerySizeLinearly) {
   auto topo = TopoOrder::Compute(dag);
   ASSERT_TRUE(topo.ok());
   Reachability m = Reachability::Compute(dag, *topo);
-  XPathEvaluator ev(&dag, &*topo, &m);
+  XPathEvaluator ev(&dag, &m);
   Path p1 = *ParseXPath("//a[b]");
   Path p4 = *ParseXPath("//a[b]/b[a]/a[b]/b[a]");
   double t1 = TimeSeconds([&] { (void)ev.Evaluate(p1); });

@@ -278,7 +278,7 @@ TEST(DeltaEvalFuzz, PatchedCacheEntriesMatchFreshEvaluation) {
 
   for (int round = 0; round < 12; ++round) {
     // Snapshot traced evaluations of every pool path.
-    XPathEvaluator evaluator(&sys->dag(), &sys->topo(), &sys->reachability());
+    XPathEvaluator evaluator(&sys->dag(), &sys->reachability());
     uint64_t v0 = sys->dag().version();
     std::vector<CachedEval> cached;
     for (const std::string& xp : kPaths) {
@@ -301,12 +301,11 @@ TEST(DeltaEvalFuzz, PatchedCacheEntriesMatchFreshEvaluation) {
 
     ASSERT_TRUE(sys->dag().JournalCovers(v0));
     std::vector<DagDelta> window = sys->dag().JournalSince(v0);
-    XPathEvaluator fresh_eval(&sys->dag(), &sys->topo(),
-                              &sys->reachability());
+    XPathEvaluator fresh_eval(&sys->dag(), &sys->reachability());
     for (size_t i = 0; i < kPaths.size(); ++i) {
       std::string ctx =
           "round " + std::to_string(round) + " path " + kPaths[i];
-      ASSERT_TRUE(TryPatchEval(sys->dag(), sys->topo(), sys->reachability(),
+      ASSERT_TRUE(TryPatchEval(sys->dag(), sys->reachability(),
                                window, &cached[i]))
           << ctx << ": insert-only window must be patchable";
       auto fresh = fresh_eval.EvaluateTraced(P(kPaths[i]));
@@ -327,7 +326,7 @@ TEST(DeltaEvalFuzz, PatchedCacheEntriesMatchFreshEvaluation) {
 
 TEST(DeltaEval, GeneralPatcherCoversRemovalWindowsAndNegation) {
   auto sys = MakeSystem(MaintenanceStrategy::kAuto);
-  XPathEvaluator evaluator(&sys->dag(), &sys->topo(), &sys->reachability());
+  XPathEvaluator evaluator(&sys->dag(), &sys->reachability());
   uint64_t v0 = sys->dag().version();
   auto traced = evaluator.EvaluateTraced(P("//student"));
   ASSERT_TRUE(traced.ok());
@@ -337,8 +336,8 @@ TEST(DeltaEval, GeneralPatcherCoversRemovalWindowsAndNegation) {
   // cone, matching a fresh evaluation bit-for-bit (as node sets).
   ASSERT_TRUE(sys->ApplyDelete(P("//student[ssn=\"S03\"]")).ok());
   std::vector<DagDelta> window = sys->dag().JournalSince(v0);
-  XPathEvaluator after_del(&sys->dag(), &sys->topo(), &sys->reachability());
-  EXPECT_TRUE(TryPatchEval(sys->dag(), sys->topo(), sys->reachability(),
+  XPathEvaluator after_del(&sys->dag(), &sys->reachability());
+  EXPECT_TRUE(TryPatchEval(sys->dag(), sys->reachability(),
                            window, &entry));
   auto fresh = after_del.EvaluateTraced(P("//student"));
   ASSERT_TRUE(fresh.ok());
@@ -348,7 +347,7 @@ TEST(DeltaEval, GeneralPatcherCoversRemovalWindowsAndNegation) {
   // the general patcher — whose per-node filter evaluation is exact, so
   // members flip in both directions correctly.
   uint64_t v1 = sys->dag().version();
-  XPathEvaluator ev2(&sys->dag(), &sys->topo(), &sys->reachability());
+  XPathEvaluator ev2(&sys->dag(), &sys->reachability());
   auto neg = ev2.EvaluateTraced(P("//course[not(takenBy)]"));
   ASSERT_TRUE(neg.ok());
   EXPECT_FALSE(PathIsMonotone(neg->np));
@@ -356,8 +355,8 @@ TEST(DeltaEval, GeneralPatcherCoversRemovalWindowsAndNegation) {
   ASSERT_TRUE(sys->ApplyInsert("student", {S("S90"), S("Neg")},
                                P("//course[cno=\"CS650\"]/takenBy"))
                   .ok());
-  XPathEvaluator ev3(&sys->dag(), &sys->topo(), &sys->reachability());
-  EXPECT_TRUE(TryPatchEval(sys->dag(), sys->topo(), sys->reachability(),
+  XPathEvaluator ev3(&sys->dag(), &sys->reachability());
+  EXPECT_TRUE(TryPatchEval(sys->dag(), sys->reachability(),
                            sys->dag().JournalSince(v1), &neg_entry));
   auto neg_fresh = ev3.EvaluateTraced(P("//course[not(takenBy)]"));
   ASSERT_TRUE(neg_fresh.ok());
@@ -366,7 +365,7 @@ TEST(DeltaEval, GeneralPatcherCoversRemovalWindowsAndNegation) {
   // Still refused: a traceless entry, and an oversized window.
   CachedEval no_trace;
   no_trace.np = neg_entry.np;
-  EXPECT_FALSE(TryPatchEval(sys->dag(), sys->topo(), sys->reachability(),
+  EXPECT_FALSE(TryPatchEval(sys->dag(), sys->reachability(),
                             sys->dag().JournalSince(v1), &no_trace));
 }
 
@@ -393,7 +392,7 @@ TEST(DeltaEvalFuzz, PatchedEntriesMatchFreshEvaluationAcrossDeletions) {
   std::vector<std::string> alive;  // ssns inserted and not yet deleted
 
   for (int round = 0; round < 16; ++round) {
-    XPathEvaluator evaluator(&sys->dag(), &sys->topo(), &sys->reachability());
+    XPathEvaluator evaluator(&sys->dag(), &sys->reachability());
     uint64_t v0 = sys->dag().version();
     std::vector<CachedEval> cached;
     for (const std::string& xp : kPaths) {
@@ -426,12 +425,11 @@ TEST(DeltaEvalFuzz, PatchedEntriesMatchFreshEvaluationAcrossDeletions) {
 
     ASSERT_TRUE(sys->dag().JournalCovers(v0));
     std::vector<DagDelta> window = sys->dag().JournalSince(v0);
-    XPathEvaluator fresh_eval(&sys->dag(), &sys->topo(),
-                              &sys->reachability());
+    XPathEvaluator fresh_eval(&sys->dag(), &sys->reachability());
     for (size_t i = 0; i < kPaths.size(); ++i) {
       std::string ctx =
           "round " + std::to_string(round) + " path " + kPaths[i];
-      ASSERT_TRUE(TryPatchEval(sys->dag(), sys->topo(), sys->reachability(),
+      ASSERT_TRUE(TryPatchEval(sys->dag(), sys->reachability(),
                                window, &cached[i]))
           << ctx << ": removal window must be patchable";
       auto fresh = fresh_eval.EvaluateTraced(P(kPaths[i]));

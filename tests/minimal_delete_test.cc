@@ -11,6 +11,7 @@
 #include "src/common/rng.h"
 #include "src/core/system.h"
 #include "src/viewupdate/delete.h"
+#include "src/workload/registrar.h"
 #include "src/workload/synthetic.h"
 
 namespace xvu {
@@ -163,6 +164,139 @@ TEST_F(MinimalDeleteFuzzTest, SharedChildrenBenefitFromExactCover) {
   EXPECT_LE(exact->ops.size(), greedy->ops.size());
   ValidateTranslation(dv, *greedy);
   ValidateTranslation(dv, *exact);
+}
+
+/// Test-only oracle for Fig.9 lines 4-5: the whole-view pinned set the
+/// translators materialized before PinnedProbe — the deletable sources of
+/// every edge-view row that ∆V does not delete.
+std::set<SourceRef> FullScanPinned(const ViewStore& store,
+                                   const std::vector<ViewRowOp>& dv) {
+  std::map<std::string, std::set<Tuple>> deleted;
+  for (const ViewRowOp& op : dv) deleted[op.view_name].insert(op.row);
+  std::set<SourceRef> pinned;
+  for (const std::string& name : store.EdgeViewNames()) {
+    const EdgeViewInfo* info = store.GetEdgeView(name);
+    const Table* vt = store.db().GetTable(name);
+    if (vt == nullptr) continue;
+    vt->ForEach([&](const Tuple& row) {
+      if (deleted[name].count(row) > 0) return;
+      for (SourceRef& s : DeletableSource(*info, row)) {
+        pinned.insert(std::move(s));
+      }
+    });
+  }
+  return pinned;
+}
+
+void ExpectSameTranslation(const Result<RelationalUpdate>& got,
+                           const Result<RelationalUpdate>& want,
+                           const std::string& ctx) {
+  ASSERT_EQ(got.ok(), want.ok()) << ctx;
+  if (!got.ok()) {
+    EXPECT_EQ(got.status().code(), want.status().code()) << ctx;
+    EXPECT_EQ(got.status().message(), want.status().message()) << ctx;
+    return;
+  }
+  ASSERT_EQ(got->ops.size(), want->ops.size()) << ctx;
+  for (size_t i = 0; i < got->ops.size(); ++i) {
+    EXPECT_EQ(got->ops[i].kind, want->ops[i].kind) << ctx;
+    EXPECT_EQ(got->ops[i].table, want->ops[i].table) << ctx;
+    EXPECT_EQ(got->ops[i].row, want->ops[i].row) << ctx;
+  }
+}
+
+/// Random group deletions over every edge view of `sys` — whole parent
+/// groups (usually translatable) mixed with single witness rows whose
+/// sources other rows share (often rejected) — translated by both
+/// translators with PinnedProbe and with the full-scan oracle. Returns
+/// the number of translatable and rejected rounds.
+std::pair<int, int> DiffDeletionTranslators(const UpdateSystem& sys,
+                                            uint64_t seed, int rounds) {
+  const ViewStore& store = sys.store();
+  std::vector<std::vector<ViewRowOp>> groups;  // one per (view, parent)
+  std::vector<ViewRowOp> rows;
+  for (const std::string& name : store.EdgeViewNames()) {
+    std::map<Value, size_t> group_of;
+    store.db().GetTable(name)->ForEach([&](const Tuple& row) {
+      auto [it, fresh] = group_of.emplace(row[0], groups.size());
+      if (fresh) groups.emplace_back();
+      groups[it->second].push_back(ViewRowOp{name, row});
+      rows.push_back(ViewRowOp{name, row});
+    });
+  }
+  Rng rng(seed);
+  int ok = 0, rejected = 0;
+  for (int round = 0; round < rounds; ++round) {
+    std::vector<ViewRowOp> dv;
+    size_t parts = 1 + rng.Below(4);
+    for (size_t k = 0; k < parts; ++k) {
+      if (rng.Chance(0.5)) {
+        const auto& g = groups[rng.Below(groups.size())];
+        dv.insert(dv.end(), g.begin(), g.end());
+      } else {
+        dv.push_back(rows[rng.Below(rows.size())]);
+      }
+    }
+    const std::string ctx =
+        "seed " + std::to_string(seed) + " round " + std::to_string(round);
+    std::set<SourceRef> oracle = FullScanPinned(store, dv);
+    PinnedFn oracle_fn = [&](const SourceRef& s) {
+      return oracle.count(s) > 0;
+    };
+    PinnedProbe probe(store, dv);
+    for (const ViewRowOp& op : dv) {
+      for (const SourceRef& s :
+           DeletableSource(*store.GetEdgeView(op.view_name), op.row)) {
+        EXPECT_EQ(probe.Pinned(s), oracle.count(s) > 0)
+            << ctx << " source " << s.ToString();
+      }
+    }
+    auto group = TranslateGroupDeletion(store, sys.database(), dv);
+    ExpectSameTranslation(
+        group, TranslateGroupDeletion(store, sys.database(), dv, oracle_fn),
+        ctx + " group");
+    for (size_t threshold : {size_t{0}, size_t{1} << 20}) {
+      ExpectSameTranslation(
+          TranslateMinimalDeletion(store, sys.database(), dv,
+                                   Threshold(threshold)),
+          TranslateMinimalDeletion(store, sys.database(), dv,
+                                   Threshold(threshold), oracle_fn),
+          ctx + " minimal, threshold " + std::to_string(threshold));
+    }
+    if (group.ok()) {
+      ++ok;
+    } else if (group.status().IsRejected()) {
+      ++rejected;
+    }
+  }
+  return {ok, rejected};
+}
+
+TEST_F(MinimalDeleteFuzzTest, PinnedProbeMatchesFullScanOnSynthetic) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    auto [ok, rejected] = DiffDeletionTranslators(*sys_, seed, 40);
+    // Both outcomes must occur, or the comparison proves little.
+    EXPECT_GT(ok, 0) << "seed " << seed;
+    EXPECT_GT(rejected, 0) << "seed " << seed;
+  }
+}
+
+TEST(PinnedProbe, MatchesFullScanOnRegistrar) {
+  auto db = MakeRegistrarDatabase();
+  ASSERT_TRUE(db.ok());
+  ASSERT_TRUE(LoadRegistrarSample(&*db).ok());
+  auto atg = MakeRegistrarAtg(*db);
+  ASSERT_TRUE(atg.ok());
+  auto sys = UpdateSystem::Create(std::move(*atg), std::move(*db));
+  ASSERT_TRUE(sys.ok()) << sys.status().ToString();
+  int ok = 0, rejected = 0;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    auto [o, r] = DiffDeletionTranslators(**sys, seed, 40);
+    ok += o;
+    rejected += r;
+  }
+  EXPECT_GT(ok, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 }  // namespace

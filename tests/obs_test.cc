@@ -46,7 +46,9 @@ TEST(HistogramBuckets, IndexIsMonotoneAndInverseOfUpperBound) {
     EXPECT_GE(upper, v);
     // The upper bound is the largest value still mapping to idx.
     EXPECT_EQ(Histogram::BucketIndex(upper), idx);
-    if (upper != ~0ull) EXPECT_GT(Histogram::BucketIndex(upper + 1), idx);
+    if (upper != ~0ull) {
+      EXPECT_GT(Histogram::BucketIndex(upper + 1), idx);
+    }
   }
 }
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "src/atg/publisher.h"
+#include "src/common/rng.h"
+#include "src/dag/topo_order.h"
 #include "src/workload/registrar.h"
 
 namespace xvu {
@@ -182,6 +184,81 @@ TEST_F(PublisherTest, PublishSubtreeCreatesNewCourse) {
   NodeId prereq999 = dag2->FindNode("prereq", {Value::Str("CS999")});
   ASSERT_NE(prereq999, kInvalidNode);
   EXPECT_TRUE(dag2->HasEdge(prereq999, cs650));
+}
+
+TEST_F(PublisherTest, PublishSubtreeFlagsCycleAmongNewNodes) {
+  // CS901 and CS902 require each other; neither is in the view yet, so
+  // the cycle closes among the nodes the publication creates.
+  Publisher pub(&atg_, &db_);
+  auto dag = pub.PublishAll(nullptr);
+  ASSERT_TRUE(dag.ok());
+  for (const char* cno : {"CS901", "CS902"}) {
+    ASSERT_TRUE(db_.GetTable("course")
+                    ->Insert({Value::Str(cno), Value::Str("Loop"),
+                              Value::Str("CS")})
+                    .ok());
+  }
+  ASSERT_TRUE(db_.GetTable("prereq")
+                  ->Insert({Value::Str("CS901"), Value::Str("CS902")})
+                  .ok());
+  ASSERT_TRUE(db_.GetTable("prereq")
+                  ->Insert({Value::Str("CS902"), Value::Str("CS901")})
+                  .ok());
+  auto sub = pub.PublishSubtree(
+      "course", {Value::Str("CS901"), Value::Str("Loop")}, &*dag, nullptr);
+  ASSERT_TRUE(sub.ok()) << sub.status().ToString();
+  EXPECT_TRUE(sub->cyclic);
+  EXPECT_FALSE(TopoOrder::Compute(*dag).ok());
+}
+
+TEST_F(PublisherTest, LocalCycleCheckAgreesWithWholeDagCheck) {
+  // Random prerequisite graphs over fresh courses, some cyclic, some
+  // reaching into the published sample: after every subtree publication
+  // the local check must agree with a whole-DAG topological sort.
+  const char* kExisting[] = {"CS650", "CS320", "CS240", "CS140"};
+  size_t cyclic_rounds = 0;
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    Rng rng(seed);
+    auto db = MakeRegistrarDatabase();
+    ASSERT_TRUE(db.ok());
+    ASSERT_TRUE(LoadRegistrarSample(&*db).ok());
+    Publisher pub(&atg_, &*db);
+    auto dag = pub.PublishAll(nullptr);
+    ASSERT_TRUE(dag.ok());
+    size_t n = 1 + rng.Below(5);
+    auto cno = [](size_t i) { return "N" + std::to_string(i); };
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_TRUE(db->GetTable("course")
+                      ->Insert({Value::Str(cno(i)), Value::Str("T"),
+                                Value::Str("CS")})
+                      .ok());
+    }
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = 0; j < n; ++j) {
+        if (i != j && rng.Chance(0.3)) {
+          ASSERT_TRUE(db->GetTable("prereq")
+                          ->Insert({Value::Str(cno(i)), Value::Str(cno(j))})
+                          .ok());
+        }
+      }
+      if (rng.Chance(0.5)) {
+        ASSERT_TRUE(db->GetTable("prereq")
+                        ->Insert({Value::Str(cno(i)),
+                                  Value::Str(kExisting[rng.Below(4)])})
+                        .ok());
+      }
+    }
+    size_t root = rng.Below(n);
+    auto sub = pub.PublishSubtree(
+        "course", {Value::Str(cno(root)), Value::Str("T")}, &*dag, nullptr);
+    ASSERT_TRUE(sub.ok()) << sub.status().ToString();
+    EXPECT_EQ(sub->cyclic, !TopoOrder::Compute(*dag).ok())
+        << "seed " << seed;
+    if (sub->cyclic) ++cyclic_rounds;
+  }
+  // Both outcomes must actually occur for the comparison to mean much.
+  EXPECT_GT(cyclic_rounds, 0u);
+  EXPECT_LT(cyclic_rounds, 60u);
 }
 
 TEST_F(PublisherTest, SubtreePropertyHolds) {

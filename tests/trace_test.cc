@@ -7,7 +7,10 @@
 #include <thread>
 #include <vector>
 
+#include "src/core/system.h"
 #include "src/obs/trace.h"
+#include "src/workload/registrar.h"
+#include "src/xpath/parser.h"
 
 namespace xvu {
 namespace obs {
@@ -358,6 +361,55 @@ TEST(Trace, ClearDropsBufferedEventsButKeepsRecording) {
   std::vector<ParsedEvent> events = ExportAndParse();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].name, "after");
+}
+
+TEST(Trace, PerOpWritesRecordPhaseSpansAtTheStatsBoundaries) {
+  auto db = MakeRegistrarDatabase();
+  ASSERT_TRUE(db.ok());
+  ASSERT_TRUE(LoadRegistrarSample(&*db).ok());
+  auto atg = MakeRegistrarAtg(*db);
+  ASSERT_TRUE(atg.ok());
+  auto sys = UpdateSystem::Create(std::move(*atg), std::move(*db));
+  ASSERT_TRUE(sys.ok()) << sys.status().ToString();
+  auto ins_path = ParseXPath("//course[cno=\"CS650\"]/takenBy");
+  auto del_path = ParseXPath(
+      "//course[cno=\"CS650\"]/takenBy/student[ssn=\"S900\"]");
+  ASSERT_TRUE(ins_path.ok());
+  ASSERT_TRUE(del_path.ok());
+
+  const char* kPhases[] = {"op.eval", "op.translate", "op.apply",
+                           "op.maintain"};
+  for (const char* op : {"op.insert", "op.delete"}) {
+    ScopedTracing tracing;
+    Status st = std::string(op) == "op.insert"
+                    ? (*sys)->ApplyInsert(
+                          "student", {Value::Str("S900"), Value::Str("Eve")},
+                          *ins_path)
+                    : (*sys)->ApplyDelete(*del_path);
+    ASSERT_TRUE(st.ok()) << op << ": " << st.ToString();
+    const UpdateStats stats = (*sys)->last_stats();
+    std::vector<ParsedEvent> events = ExportAndParse();
+    std::map<std::string, const ParsedEvent*> by_name;
+    for (const ParsedEvent& e : events) by_name[e.name] = &e;
+    ASSERT_TRUE(by_name.count(op)) << op;
+    const ParsedEvent* parent = by_name[op];
+    const double eps = 0.0005;
+    for (const char* phase : kPhases) {
+      ASSERT_TRUE(by_name.count(phase)) << op << " lacks " << phase;
+      const ParsedEvent* e = by_name[phase];
+      EXPECT_EQ(e->tid, parent->tid) << phase;
+      EXPECT_GE(e->ts_us + eps, parent->ts_us) << phase;
+      EXPECT_LE(e->ts_us + e->dur_us, parent->ts_us + parent->dur_us + eps)
+          << phase;
+    }
+    // Same boundaries as UpdateStats (µs, to the export's ns rounding).
+    const double tol = 0.002;
+    EXPECT_NEAR(by_name["op.eval"]->dur_us, stats.xpath_seconds * 1e6, tol);
+    EXPECT_NEAR(by_name["op.translate"]->dur_us + by_name["op.apply"]->dur_us,
+                stats.translate_seconds * 1e6, tol);
+    EXPECT_NEAR(by_name["op.maintain"]->dur_us, stats.maintain_seconds * 1e6,
+                tol);
+  }
 }
 
 }  // namespace
